@@ -548,6 +548,64 @@ let test_shrink_minimizes () =
   Alcotest.(check bool) "repro digest stable" true (d1 = d2 && d1 <> None)
 
 (* ------------------------------------------------------------------ *)
+(* Curated scenarios: pinned digests                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Counts (completed = executed) and audit digests of every scenario
+   under examples/scenarios, as [rbft_sim scenario --file] prints them.
+   The other digest tests compare two runs inside one process; these
+   pins catch a digest that drifts from one commit to the next, which
+   is how a behaviour-preserving refactor proves itself. *)
+let curated_digests =
+  [
+    ( "clock_skew_drift",
+      185,
+      "985f0c1c7f8b0da40f84202635a22b46042a132fa5684f5d607e1b4bbb540fd9" );
+    ( "concurrent_owner_crash",
+      431,
+      "47ffb5ca5de35d06fac9e3a16d3db8879cd22bcef2b85ede1dadda3dc696de50" );
+    ( "concurrent_sequencer_partition",
+      375,
+      "8952d6aca3b44a54379566d75d61424fc8b8cacfc23c0f1828b51af023936310" );
+    ( "corrupt_under_load",
+      473,
+      "fc2fe87b5ccf8902f9925d11612afb9cba8af31ba063b3fde0aa4f054b16f02a" );
+    ( "crash_during_view_change",
+      217,
+      "f26e692599a4f21a12c8122fcf3bc81dfe5a73932aea5d351011d429b343d6db" );
+    ( "flapping_partition",
+      230,
+      "3db1685267f2c5e557d9462fe7bb37c7bb69506557a800d94b2842070db06157" );
+  ]
+
+(* [dune runtest] runs from _build/default/test, [dune exec] from the
+   project root. *)
+let scenario_dir =
+  List.find Sys.file_exists [ "../examples/scenarios"; "examples/scenarios" ]
+
+let test_curated_scenario_digests () =
+  let on_disk =
+    Sys.readdir scenario_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".scn")
+    |> List.map Filename.chop_extension
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "every curated scenario is pinned"
+    (List.map (fun (name, _, _) -> name) curated_digests)
+    on_disk;
+  List.iter
+    (fun (name, count, digest) ->
+      match Scenario.load (Filename.concat scenario_dir (name ^ ".scn")) with
+      | Error e -> Alcotest.fail (name ^ ": " ^ e)
+      | Ok s ->
+        let r = Runner.run ~capture:true s in
+        Alcotest.(check int) (name ^ " completed") count r.Runner.completed;
+        Alcotest.(check int) (name ^ " executed") count r.Runner.executed;
+        Alcotest.(check (option string)) (name ^ " audit digest") (Some digest)
+          r.Runner.digest)
+    curated_digests
+
+(* ------------------------------------------------------------------ *)
 (* Explorer                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -624,6 +682,8 @@ let suites =
           test_runner_ic_quorum_mutation_violates;
         Alcotest.test_case "no spurious instance change under mild skew" `Quick
           test_monitoring_no_spurious_ic_under_mild_skew;
+        Alcotest.test_case "curated scenario digests pinned" `Quick
+          test_curated_scenario_digests;
       ] );
     ( "chaos.oracle",
       [
