@@ -20,6 +20,16 @@ let run_one proto =
   let rate = offered /. float_of_int clients in
   let duration = Time.of_sec_f 1.5 in
   let warm = Time.ms 400 in
+  let baseline (type k) (module B : Baseline.S with type Node.config = k) (config : k) =
+    let cluster = B.Cluster.create ~clients ~payload_size:payload config in
+    Array.iter (fun c -> B.Client.set_rate c rate) (B.Cluster.clients cluster);
+    B.Cluster.run_for cluster duration;
+    let tput = B.Cluster.throughput_between cluster warm duration in
+    let lat =
+      measure_latency (Array.to_list (Array.map B.Client.latencies (B.Cluster.clients cluster)))
+    in
+    (tput, lat)
+  in
   match proto with
   | Calibrate.Rbft | Calibrate.Rbft_udp | Calibrate.Rbft_concurrent ->
     let transport =
@@ -36,41 +46,11 @@ let run_one proto =
         (Array.to_list (Array.map Rbft.Client.latencies (Rbft.Cluster.clients cluster)))
     in
     (tput, lat)
-  | Calibrate.Aardvark ->
-    let cluster =
-      Aardvark.Cluster.create ~clients ~payload_size:payload (Aardvark.Node.default_config ~f:1)
-    in
-    Array.iter (fun c -> Aardvark.Client.set_rate c rate) (Aardvark.Cluster.clients cluster);
-    Aardvark.Cluster.run_for cluster duration;
-    let tput = Aardvark.Cluster.throughput_between cluster warm duration in
-    let lat =
-      measure_latency
-        (Array.to_list (Array.map Aardvark.Client.latencies (Aardvark.Cluster.clients cluster)))
-    in
-    (tput, lat)
-  | Calibrate.Spinning ->
-    let cluster =
-      Spinning.Cluster.create ~clients ~payload_size:payload (Spinning.Node.default_config ~f:1)
-    in
-    Array.iter (fun c -> Spinning.Client.set_rate c rate) (Spinning.Cluster.clients cluster);
-    Spinning.Cluster.run_for cluster duration;
-    let tput = Spinning.Cluster.throughput_between cluster warm duration in
-    let lat =
-      measure_latency
-        (Array.to_list (Array.map Spinning.Client.latencies (Spinning.Cluster.clients cluster)))
-    in
-    (tput, lat)
+  | Calibrate.Aardvark -> baseline (module Aardvark) (Aardvark.Node.default_config ~f:1)
+  | Calibrate.Spinning -> baseline (module Spinning) (Spinning.Node.default_config ~f:1)
   | Calibrate.Prime ->
-    let cfg = { (Prime.Node.default_config ~f:1) with Prime.Node.exec_cost = Time.us 1 } in
-    let cluster = Prime.Cluster.create ~clients ~payload_size:payload cfg in
-    Array.iter (fun c -> Prime.Client.set_rate c rate) (Prime.Cluster.clients cluster);
-    Prime.Cluster.run_for cluster duration;
-    let tput = Prime.Cluster.throughput_between cluster warm duration in
-    let lat =
-      measure_latency
-        (Array.to_list (Array.map Prime.Client.latencies (Prime.Cluster.clients cluster)))
-    in
-    (tput, lat)
+    baseline (module Prime)
+      { (Prime.Node.default_config ~f:1) with Prime.Node.exec_cost = Time.us 1 }
 
 let () =
   Printf.printf "== Fault-free comparison, 8B requests at 90%% of peak (f = 1) ==\n\n";

@@ -146,22 +146,6 @@ let to_string t = Format.asprintf "%a" pp t
 
 (* --- JSON serialisation ------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Event payload as JSON object fields, without the enclosing braces,
    so both the JSONL and the Chrome exporters can reuse it. *)
 let args_json kind =
@@ -204,11 +188,13 @@ let args_json kind =
     Printf.sprintf {|"peer":%d,"until_ns":%d|} peer (until : Time.t)
   | Blacklisted { client } -> Printf.sprintf {|"client":%d|} client
   | Net_dropped { src; reason } ->
-    Printf.sprintf {|"src":"%s","reason":"%s"|} (json_escape src)
-      (json_escape reason)
+    Printf.sprintf {|"src":"%s","reason":"%s"|} (Bftmetrics.Export.json_escape src)
+      (Bftmetrics.Export.json_escape reason)
   | Log { level; component; message } ->
     Printf.sprintf {|"level":"%s","component":"%s","message":"%s"|}
-      (json_escape level) (json_escape component) (json_escape message)
+      (Bftmetrics.Export.json_escape level)
+      (Bftmetrics.Export.json_escape component)
+      (Bftmetrics.Export.json_escape message)
 
 (* Canonical one-line serialisation: used verbatim for JSONL export
    and as the input of the chained per-run trace digest, so it must

@@ -72,125 +72,34 @@ let build_rbft ~transport ?(ordering = Rbft.Params.Redundant) (s : Scenario.t) =
           ]);
   }
 
-(* Aardvark's paper policy times (5 s grace) dwarf a chaos scenario;
-   compress them the same way the harness experiments do so that the
-   protocol can actually react within the run. *)
-let aardvark_config ~f =
-  {
-    (Aardvark.Node.default_config ~f) with
-    Aardvark.Node.policy =
-      {
-        (Aardvark.Policy.default_config ~n:((3 * f) + 1)) with
-        Aardvark.Policy.grace = Time.of_sec_f 1.2;
-        view_warmup = Time.ms 500;
-      };
-    post_vc_quiet = Time.ms 120;
-  }
-
-let build_aardvark (s : Scenario.t) =
+let build_baseline (type k) (module B : Baseline.S with type Node.config = k)
+    (config : k) (s : Scenario.t) =
   let cluster =
-    Aardvark.Cluster.create ~seed:s.Scenario.seed
+    B.Cluster.create ~seed:s.Scenario.seed
       ~clients:s.Scenario.workload.Scenario.clients
-      ~payload_size:s.Scenario.workload.Scenario.payload
-      (aardvark_config ~f:s.Scenario.f)
+      ~payload_size:s.Scenario.workload.Scenario.payload config
   in
-  let net = Aardvark.Cluster.network cluster in
+  let node i = B.Cluster.node cluster i in
   {
     hooks =
       {
-        Injector.engine = Aardvark.Cluster.engine cluster;
+        Injector.engine = B.Cluster.engine cluster;
         n = (3 * s.Scenario.f) + 1;
-        set_fault_hook = Bftnet.Network.set_fault_hook net;
-        set_cpu_factor =
-          (fun ~node k ->
-            Aardvark.Node.set_cpu_factor (Aardvark.Cluster.node cluster node) k);
-        set_clock_factor =
-          (fun ~node k ->
-            Aardvark.Node.set_clock_factor (Aardvark.Cluster.node cluster node) k);
+        set_fault_hook = Bftnet.Network.set_fault_hook (B.Cluster.network cluster);
+        set_cpu_factor = (fun ~node:i k -> B.Node.set_cpu_factor (node i) k);
+        set_clock_factor = (fun ~node:i k -> B.Node.set_clock_factor (node i) k);
       };
-    run_for = Aardvark.Cluster.run_for cluster;
+    run_for = B.Cluster.run_for cluster;
     set_rates =
-      (fun r ->
-        Array.iter
-          (fun c -> Aardvark.Client.set_rate c r)
-          (Aardvark.Cluster.clients cluster));
+      (fun r -> Array.iter (fun c -> B.Client.set_rate c r) (B.Cluster.clients cluster));
     totals =
-      (fun () ->
-        sum_totals Aardvark.Client.sent Aardvark.Client.completed
-          (Aardvark.Cluster.clients cluster));
-    executed = (fun () -> Aardvark.Cluster.total_executed cluster);
+      (fun () -> sum_totals B.Client.sent B.Client.completed (B.Cluster.clients cluster));
+    executed = (fun () -> B.Cluster.total_executed cluster);
     describe =
-      [ ("protocol", "aardvark"); ("f", string_of_int s.Scenario.f) ];
-    context = None;
-  }
-
-let build_spinning (s : Scenario.t) =
-  let cluster =
-    Spinning.Cluster.create ~seed:s.Scenario.seed
-      ~clients:s.Scenario.workload.Scenario.clients
-      ~payload_size:s.Scenario.workload.Scenario.payload
-      (Spinning.Node.default_config ~f:s.Scenario.f)
-  in
-  let net = Spinning.Cluster.network cluster in
-  {
-    hooks =
-      {
-        Injector.engine = Spinning.Cluster.engine cluster;
-        n = (3 * s.Scenario.f) + 1;
-        set_fault_hook = Bftnet.Network.set_fault_hook net;
-        set_cpu_factor =
-          (fun ~node k ->
-            Spinning.Node.set_cpu_factor (Spinning.Cluster.node cluster node) k);
-        set_clock_factor =
-          (fun ~node k ->
-            Spinning.Node.set_clock_factor (Spinning.Cluster.node cluster node) k);
-      };
-    run_for = Spinning.Cluster.run_for cluster;
-    set_rates =
-      (fun r ->
-        Array.iter
-          (fun c -> Spinning.Client.set_rate c r)
-          (Spinning.Cluster.clients cluster));
-    totals =
-      (fun () ->
-        sum_totals Spinning.Client.sent Spinning.Client.completed
-          (Spinning.Cluster.clients cluster));
-    executed = (fun () -> Spinning.Cluster.total_executed cluster);
-    describe =
-      [ ("protocol", "spinning"); ("f", string_of_int s.Scenario.f) ];
-    context = None;
-  }
-
-let build_prime (s : Scenario.t) =
-  let cluster =
-    Prime.Cluster.create ~seed:s.Scenario.seed
-      ~clients:s.Scenario.workload.Scenario.clients
-      ~payload_size:s.Scenario.workload.Scenario.payload
-      (Prime.Node.default_config ~f:s.Scenario.f)
-  in
-  let net = Prime.Cluster.network cluster in
-  {
-    hooks =
-      {
-        Injector.engine = Prime.Cluster.engine cluster;
-        n = (3 * s.Scenario.f) + 1;
-        set_fault_hook = Bftnet.Network.set_fault_hook net;
-        set_cpu_factor =
-          (fun ~node k -> Prime.Node.set_cpu_factor (Prime.Cluster.node cluster node) k);
-        set_clock_factor =
-          (fun ~node k ->
-            Prime.Node.set_clock_factor (Prime.Cluster.node cluster node) k);
-      };
-    run_for = Prime.Cluster.run_for cluster;
-    set_rates =
-      (fun r ->
-        Array.iter (fun c -> Prime.Client.set_rate c r) (Prime.Cluster.clients cluster));
-    totals =
-      (fun () ->
-        sum_totals Prime.Client.sent Prime.Client.completed
-          (Prime.Cluster.clients cluster));
-    executed = (fun () -> Prime.Cluster.total_executed cluster);
-    describe = [ ("protocol", "prime"); ("f", string_of_int s.Scenario.f) ];
+      [
+        ("protocol", Scenario.protocol_name s.Scenario.protocol);
+        ("f", string_of_int s.Scenario.f);
+      ];
     context = None;
   }
 
@@ -201,9 +110,13 @@ let build (s : Scenario.t) =
   | Scenario.Rbft_concurrent ->
     build_rbft ~transport:Bftnet.Network.Tcp
       ~ordering:Rbft.Params.Concurrent s
-  | Scenario.Aardvark -> build_aardvark s
-  | Scenario.Spinning -> build_spinning s
-  | Scenario.Prime -> build_prime s
+  | Scenario.Aardvark ->
+    (* compressed policy times, so Aardvark can react within a scenario *)
+    build_baseline (module Aardvark) (Aardvark.compressed_config ~f:s.Scenario.f) s
+  | Scenario.Spinning ->
+    build_baseline (module Spinning) (Spinning.Node.default_config ~f:s.Scenario.f) s
+  | Scenario.Prime ->
+    build_baseline (module Prime) (Prime.Node.default_config ~f:s.Scenario.f) s
 
 (* Triggers for chaos runs: dump on any safety-relevant edge, and on a
    liveness stall well inside the drain bound so the bundle still holds

@@ -92,7 +92,7 @@ let chain_digest ~header:hdr ~audit ~spans ~metrics ~footprint ~scenario =
   feed (Option.value ~default:"" scenario);
   Bftcrypto.Sha256.to_hex !chain
 
-let json_escape = Event.json_escape
+let json_escape = Bftmetrics.Export.json_escape
 
 let footprint_json inc =
   let buf = Buffer.create 512 in

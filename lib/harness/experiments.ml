@@ -6,22 +6,6 @@ let request_sizes ~quick =
 
 let scale ~quick t = if quick then Time.mul_f t 0.5 else t
 
-(* Aardvark's policy times, compressed for simulation (the paper's 5 s
-   grace period would make every figure run tens of simulated seconds;
-   ratios are unaffected because both the fault-free and the attacked
-   runs use the same compression). *)
-let aardvark_config ~f =
-  {
-    (Aardvark.Node.default_config ~f) with
-    Aardvark.Node.policy =
-      {
-        (Aardvark.Policy.default_config ~n:((3 * f) + 1)) with
-        Aardvark.Policy.grace = Time.of_sec_f 1.2;
-        view_warmup = Time.ms 500;
-      };
-    post_vc_quiet = Time.ms 120;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Generic static/dynamic runners per protocol                        *)
 (* ------------------------------------------------------------------ *)
@@ -68,52 +52,21 @@ let run_shape_rbft ?seed ?(transport = Bftnet.Network.Tcp) ?(tweak = fun p -> p)
   let counter = Rbft.Node.executed_counter correct_node in
   (window_rate counter ~from_:(Time.ms 200) ~until:total, cluster)
 
-let run_shape_aardvark ?seed ?(tweak = fun c -> c) ~f ~payload ~shape ~attack () =
+(* The baselines' counterpart of [run_shape_rbft]. *)
+let run_shape (type c k)
+    (module B : Baseline.S with type Cluster.t = c and type Node.config = k) ?seed
+    ~(config : k) ~f ~payload ~shape ~(attack : c -> unit) () =
   Audit.begin_run ~n:((3 * f) + 1) ~f;
-  let cfg = tweak (aardvark_config ~f) in
   let cluster =
-    Aardvark.Cluster.create ?seed ~clients:(Loadshape.max_clients shape)
-      ~payload_size:payload cfg
+    B.Cluster.create ?seed ~clients:(Loadshape.max_clients shape) ~payload_size:payload
+      config
   in
   attack cluster;
-  let engine = Aardvark.Cluster.engine cluster in
-  Loadshape.apply engine shape ~set_rate:(fun c r ->
-      Aardvark.Client.set_rate (Aardvark.Cluster.client cluster c) r);
+  Loadshape.apply (B.Cluster.engine cluster) shape ~set_rate:(fun c r ->
+      B.Client.set_rate (B.Cluster.client cluster c) r);
   let total = Loadshape.total_duration shape in
-  Aardvark.Cluster.run_for cluster (Time.add total (Time.ms 200));
-  let counter = Aardvark.Node.executed_counter (Aardvark.Cluster.node cluster 1) in
-  (window_rate counter ~from_:(Time.ms 200) ~until:total, cluster)
-
-let run_shape_spinning ?seed ~f ~payload ~shape ~attack () =
-  Audit.begin_run ~n:((3 * f) + 1) ~f;
-  let cfg = Spinning.Node.default_config ~f in
-  let cluster =
-    Spinning.Cluster.create ?seed ~clients:(Loadshape.max_clients shape)
-      ~payload_size:payload cfg
-  in
-  attack cluster;
-  let engine = Spinning.Cluster.engine cluster in
-  Loadshape.apply engine shape ~set_rate:(fun c r ->
-      Spinning.Client.set_rate (Spinning.Cluster.client cluster c) r);
-  let total = Loadshape.total_duration shape in
-  Spinning.Cluster.run_for cluster (Time.add total (Time.ms 200));
-  let counter = Spinning.Node.executed_counter (Spinning.Cluster.node cluster 1) in
-  (window_rate counter ~from_:(Time.ms 200) ~until:total, cluster)
-
-let run_shape_prime ?seed ?(exec_cost = Time.us 100) ~f ~payload ~shape ~attack () =
-  Audit.begin_run ~n:((3 * f) + 1) ~f;
-  let cfg = { (Prime.Node.default_config ~f) with Prime.Node.exec_cost = exec_cost } in
-  let cluster =
-    Prime.Cluster.create ?seed ~clients:(Loadshape.max_clients shape)
-      ~payload_size:payload cfg
-  in
-  attack cluster;
-  let engine = Prime.Cluster.engine cluster in
-  Loadshape.apply engine shape ~set_rate:(fun c r ->
-      Prime.Client.set_rate (Prime.Cluster.client cluster c) r);
-  let total = Loadshape.total_duration shape in
-  Prime.Cluster.run_for cluster (Time.add total (Time.ms 200));
-  let counter = Prime.Node.executed_counter (Prime.Cluster.node cluster 1) in
+  B.Cluster.run_for cluster (Time.add total (Time.ms 200));
+  let counter = B.Node.executed_counter (B.Cluster.node cluster 1) in
   (window_rate counter ~from_:(Time.ms 200) ~until:total, cluster)
 
 (* ------------------------------------------------------------------ *)
@@ -152,7 +105,9 @@ let fig1 ~quick =
       Loadshape.paper_dynamic ~step:(scale ~quick (Time.ms 300)) ~rate:(0.05 *. rate) ()
     in
     let measure shape attack =
-      fst (run_shape_prime ~f:1 ~payload:size ~shape ~attack ())
+      fst
+        (run_shape (module Prime) ~config:(Prime.Node.default_config ~f:1) ~f:1
+           ~payload:size ~shape ~attack ())
     in
     let rel shape =
       let ff = measure shape (fun _ -> ()) in
@@ -204,7 +159,8 @@ let fig2 ~quick =
        (5 s grace): the malicious primary then reigns for the whole
        dynamic run and its spike is throttled at the stale, pre-spike
        requirement. *)
-    let long_grace c =
+    let config =
+      let c = Aardvark.compressed_config ~f:1 in
       {
         c with
         Aardvark.Node.policy =
@@ -213,7 +169,7 @@ let fig2 ~quick =
     in
     let measure_windowed shape a ~from_ ~until =
       let _, cluster =
-        run_shape_aardvark ~tweak:long_grace ~f:1 ~payload:size ~shape ~attack:a ()
+        run_shape (module Aardvark) ~config ~f:1 ~payload:size ~shape ~attack:a ()
       in
       let counter = Aardvark.Node.executed_counter (Aardvark.Cluster.node cluster 1) in
       window_rate counter ~from_ ~until
@@ -229,7 +185,7 @@ let fig2 ~quick =
     let rel_dynamic =
       let measure a =
         fst
-          (run_shape_aardvark ~tweak:long_grace ~f:1 ~payload:size ~shape:dynamic
+          (run_shape (module Aardvark) ~config ~f:1 ~payload:size ~shape:dynamic
              ~attack:a ())
       in
       let ff = measure (fun _ -> ()) in
@@ -266,7 +222,11 @@ let fig3 ~quick =
     let rate = Calibrate.saturating_rate Calibrate.Spinning ~size in
     let static = static_shape ~quick ~duration:(Time.of_sec_f 3.0) ~rate in
     let dynamic = dynamic_shape ~quick ~rate in
-    let measure shape a = fst (run_shape_spinning ~f:1 ~payload:size ~shape ~attack:a ()) in
+    let measure shape a =
+      fst
+        (run_shape (module Spinning) ~config:(Spinning.Node.default_config ~f:1) ~f:1
+           ~payload:size ~shape ~attack:a ())
+    in
     let rel shape =
       let ff = measure shape (fun _ -> ()) in
       let att = measure shape attack in
@@ -327,59 +287,37 @@ let fig7_point ~proto ~payload ~fraction ~quick =
   in
   let shape = Loadshape.static ~duration ~clients ~rate:(offered /. float_of_int clients) in
   let warm = Time.ms 400 in
+  (* Executed rate at node 1 past the warm-up, and the mean of the
+     clients' mean latencies. *)
+  let point counter hists =
+    let achieved = window_rate counter ~from_:warm ~until:(Loadshape.total_duration shape) in
+    let lat = Bftmetrics.Stats.create () in
+    Array.iter
+      (fun h ->
+        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
+      hists;
+    { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
+  in
+  let baseline (type k) (module B : Baseline.S with type Node.config = k) (config : k) =
+    let _, cluster = run_shape (module B) ~config ~f:1 ~payload ~shape ~attack:ignore () in
+    point
+      (B.Node.executed_counter (B.Cluster.node cluster 1))
+      (Array.map B.Client.latencies (B.Cluster.clients cluster))
+  in
   match proto with
   | Calibrate.Rbft | Calibrate.Rbft_udp | Calibrate.Rbft_concurrent ->
     let transport =
       match proto with Calibrate.Rbft_udp -> Bftnet.Network.Udp | _ -> Bftnet.Network.Tcp
     in
-    let rate, cluster =
-      run_shape_rbft ~transport ~f:1 ~payload ~shape ~attack:(fun _ -> ()) ()
-    in
-    ignore rate;
-    let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
-    let achieved = window_rate counter ~from_:warm ~until:(Loadshape.total_duration shape) in
-    let lat = Bftmetrics.Stats.create () in
-    Array.iter
-      (fun c ->
-        let h = Rbft.Client.latencies c in
-        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
-      (Rbft.Cluster.clients cluster);
-    { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
-  | Calibrate.Aardvark ->
-    let _, cluster = run_shape_aardvark ~f:1 ~payload ~shape ~attack:(fun _ -> ()) () in
-    let counter = Aardvark.Node.executed_counter (Aardvark.Cluster.node cluster 1) in
-    let achieved = window_rate counter ~from_:warm ~until:(Loadshape.total_duration shape) in
-    let lat = Bftmetrics.Stats.create () in
-    Array.iter
-      (fun c ->
-        let h = Aardvark.Client.latencies c in
-        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
-      (Aardvark.Cluster.clients cluster);
-    { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
-  | Calibrate.Spinning ->
-    let _, cluster = run_shape_spinning ~f:1 ~payload ~shape ~attack:(fun _ -> ()) () in
-    let counter = Spinning.Node.executed_counter (Spinning.Cluster.node cluster 1) in
-    let achieved = window_rate counter ~from_:warm ~until:(Loadshape.total_duration shape) in
-    let lat = Bftmetrics.Stats.create () in
-    Array.iter
-      (fun c ->
-        let h = Spinning.Client.latencies c in
-        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
-      (Spinning.Cluster.clients cluster);
-    { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
+    let _, cluster = run_shape_rbft ~transport ~f:1 ~payload ~shape ~attack:ignore () in
+    point
+      (Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1))
+      (Array.map Rbft.Client.latencies (Rbft.Cluster.clients cluster))
+  | Calibrate.Aardvark -> baseline (module Aardvark) (Aardvark.compressed_config ~f:1)
+  | Calibrate.Spinning -> baseline (module Spinning) (Spinning.Node.default_config ~f:1)
   | Calibrate.Prime ->
-    let _, cluster =
-      run_shape_prime ~exec_cost:(Time.us 1) ~f:1 ~payload ~shape ~attack:(fun _ -> ()) ()
-    in
-    let counter = Prime.Node.executed_counter (Prime.Cluster.node cluster 1) in
-    let achieved = window_rate counter ~from_:warm ~until:(Loadshape.total_duration shape) in
-    let lat = Bftmetrics.Stats.create () in
-    Array.iter
-      (fun c ->
-        let h = Prime.Client.latencies c in
-        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
-      (Prime.Cluster.clients cluster);
-    { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
+    baseline (module Prime)
+      { (Prime.Node.default_config ~f:1) with Prime.Node.exec_cost = Time.us 1 }
 
 let fig7_table ~quick ~payload ~id ~paper_note =
   let protos =
@@ -840,24 +778,23 @@ let mean_spread samples =
 
 let seed_sweep ~quick ~seeds =
   let size = 8 in
-  let no_attack _ = () in
   let run proto seed =
     let seed = Int64.of_int seed in
     let rate = Calibrate.saturating_rate proto ~size in
     let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
+    let baseline (type k) (module B : Baseline.S with type Node.config = k) (config : k) =
+      fst (run_shape (module B) ~seed ~config ~f:1 ~payload:size ~shape ~attack:ignore ())
+    in
     match proto with
     | Calibrate.Rbft | Calibrate.Rbft_concurrent ->
-      fst (run_shape_rbft ~seed ~f:1 ~payload:size ~shape ~attack:no_attack ())
+      fst (run_shape_rbft ~seed ~f:1 ~payload:size ~shape ~attack:ignore ())
     | Calibrate.Rbft_udp ->
       fst
         (run_shape_rbft ~seed ~transport:Bftnet.Network.Udp ~f:1 ~payload:size
-           ~shape ~attack:no_attack ())
-    | Calibrate.Aardvark ->
-      fst (run_shape_aardvark ~seed ~f:1 ~payload:size ~shape ~attack:no_attack ())
-    | Calibrate.Spinning ->
-      fst (run_shape_spinning ~seed ~f:1 ~payload:size ~shape ~attack:no_attack ())
-    | Calibrate.Prime ->
-      fst (run_shape_prime ~seed ~f:1 ~payload:size ~shape ~attack:no_attack ())
+           ~shape ~attack:ignore ())
+    | Calibrate.Aardvark -> baseline (module Aardvark) (Aardvark.compressed_config ~f:1)
+    | Calibrate.Spinning -> baseline (module Spinning) (Spinning.Node.default_config ~f:1)
+    | Calibrate.Prime -> baseline (module Prime) (Prime.Node.default_config ~f:1)
   in
   let row proto =
     let samples = List.init seeds (fun s -> run proto (s + 1)) in

@@ -27,6 +27,9 @@ val json_of_series : Sampler.t -> string
 (** JSON array of [{time_s, samples}] points. *)
 
 val json_escape : string -> string
+(** The body of a JSON string literal (no quotes). The one escaper of
+    the repository: audit events, doctor bundles and profiles use it
+    too, so its bytes feed the audit and bundle digests. *)
 
 val json_float : float -> string
 (** Shortest round-trip rendering; non-finite values become [null]. *)

@@ -3,19 +3,8 @@
     A faulty client can mark its requests heavy (1 ms execution) — the
     colluding half of the Figure 1 attack. *)
 
-open Dessim
+include Baseline.Client.S with type msg = Node.msg
 
-type t
+type behaviour = Baseline.Client.behaviour = { mutable heavy : bool }
 
-type behaviour = { mutable heavy : bool }
-
-val create :
-  Engine.t -> Node.msg Bftnet.Network.t -> f:int -> id:int -> ?payload_size:int -> unit -> t
-
-val id : t -> int
 val behaviour : t -> behaviour
-val set_rate : t -> float -> unit
-val send_one : t -> unit
-val sent : t -> int
-val completed : t -> int
-val latencies : t -> Bftmetrics.Hist.t

@@ -1,24 +1,8 @@
 (** Assemble a Prime deployment. *)
 
-open Dessim
-
-type t
-
-val create :
-  ?seed:int64 ->
-  ?clients:int ->
-  ?payload_size:int ->
-  ?service:(unit -> Bftapp.Service.t) ->
-  Node.config ->
-  t
-
-val engine : t -> Engine.t
-val network : t -> Node.msg Bftnet.Network.t
-val node : t -> int -> Node.t
-val nodes : t -> Node.t array
-val client : t -> int -> Client.t
-val clients : t -> Client.t array
-val run_for : t -> Time.t -> unit
-val total_executed : t -> int
-val throughput_between : t -> Time.t -> Time.t -> float
-val agreement_ok : t -> faulty:int list -> bool
+include
+  Baseline.Cluster.S
+    with type msg = Node.msg
+     and type node = Node.t
+     and type client = Client.t
+     and type config = Node.config

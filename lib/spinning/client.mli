@@ -2,16 +2,4 @@
     all replicas (the paper notes Spinning clients use UDP multicast);
     accepts a result on f+1 matching replies. *)
 
-open Dessim
-
-type t
-
-val create :
-  Engine.t -> Node.msg Bftnet.Network.t -> f:int -> id:int -> ?payload_size:int -> unit -> t
-
-val id : t -> int
-val set_rate : t -> float -> unit
-val send_one : t -> unit
-val sent : t -> int
-val completed : t -> int
-val latencies : t -> Bftmetrics.Hist.t
+include Baseline.Client.S with type msg = Node.msg

@@ -396,7 +396,10 @@ let test_export_csv_json () =
   let json = Export.json_of_snapshot r in
   Alcotest.(check bool) "json mentions metric" true (contains json "\"x_total\"");
   Alcotest.(check string) "json_float nan" "null" (Export.json_float Float.nan);
-  Alcotest.(check string) "json escaping" {|"a\"b"|} ({|"|} ^ Export.json_escape {|a"b|} ^ {|"|})
+  Alcotest.(check string) "json escaping" {|"a\"b"|} ({|"|} ^ Export.json_escape {|a"b|} ^ {|"|});
+  (* audit-event and bundle digests hash these exact bytes *)
+  Alcotest.(check string) "json escaping of controls" {|\\ \n\t\r\u0001|}
+    (Export.json_escape "\\ \n\t\r\001")
 
 (* --- audit bridge ------------------------------------------------- *)
 
