@@ -12,12 +12,16 @@ type t = {
   mutable total : int;
 }
 
-let create () = { times = Array.make 1024 0; cumulative = Array.make 1024 0; len = 0; total = 0 }
+(* The arrays start empty and double from 8 on the first [record]: every
+   client and node owns counters, and many never record much, so an
+   idle one should cost a record and two empty arrays, not 2k words. *)
+let create () = { times = [||]; cumulative = [||]; len = 0; total = 0 }
 
 let grow t =
   let cap = Array.length t.times in
-  let times = Array.make (2 * cap) 0 in
-  let cumulative = Array.make (2 * cap) 0 in
+  let new_cap = if cap = 0 then 8 else 2 * cap in
+  let times = Array.make new_cap 0 in
+  let cumulative = Array.make new_cap 0 in
   Array.blit t.times 0 times 0 t.len;
   Array.blit t.cumulative 0 cumulative 0 t.len;
   t.times <- times;

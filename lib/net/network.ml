@@ -59,12 +59,16 @@ type node_ports = {
   client_egress : Resource.t;
   client_ingress : Resource.t;
   mutable closed_until : Time.t Principal.Map.t;
+  last_to_node : Time.t array;
+      (* TCP FIFO: latest arrival scheduled towards each peer node *)
 }
 
 type 'a client_port = {
   c_egress : Resource.t;
   c_ingress : Resource.t;
   mutable c_handler : ('a delivery -> unit) option;
+  c_last_to_node : Time.t array;  (* TCP FIFO, client -> node j *)
+  c_last_from_node : Time.t array;  (* TCP FIFO, node i -> client *)
 }
 
 (* Per-channel metric handles (node-node, node-client, client-node),
@@ -109,9 +113,6 @@ type 'a t = {
   node_ports : node_ports array;
   node_handlers : ('a delivery -> unit) option array;
   clients : (int, 'a client_port) Hashtbl.t;
-  (* Under TCP, arrivals on a connection are FIFO: jitter must not
-     reorder messages of the same (src, dst) pair. *)
-  last_arrival : (Principal.t * Principal.t, Time.t) Hashtbl.t;
   mutable delivered : int;
   mutable dropped : int;
   mutable bytes : int;
@@ -129,6 +130,12 @@ let chan_of t ~src ~dst =
   | Principal.Node _, Principal.Client _ -> t.m.nc
   | Principal.Client _, _ -> t.m.cn
 
+(* Under TCP, arrivals on a connection are FIFO: jitter must not
+   reorder messages of the same (src, dst) pair. Each connection keeps
+   the latest arrival instant scheduled on it in a per-port array slot,
+   [no_arrival] until its first message. *)
+let no_arrival = min_int
+
 let create engine cfg =
   let make_ports i =
     {
@@ -141,6 +148,7 @@ let create engine cfg =
       client_egress = Resource.create engine ~name:(Printf.sprintf "n%d->clients" i);
       client_ingress = Resource.create engine ~name:(Printf.sprintf "n%d<-clients" i);
       closed_until = Principal.Map.empty;
+      last_to_node = Array.make cfg.nodes no_arrival;
     }
   in
   {
@@ -150,7 +158,6 @@ let create engine cfg =
     node_ports = Array.init cfg.nodes make_ports;
     node_handlers = Array.make cfg.nodes None;
     clients = Hashtbl.create 32;
-    last_arrival = Hashtbl.create 256;
     delivered = 0;
     dropped = 0;
     bytes = 0;
@@ -166,15 +173,18 @@ let register_node t i handler =
   assert (i >= 0 && i < t.cfg.nodes);
   t.node_handlers.(i) <- Some handler
 
+(* [Hashtbl.find] rather than [find_opt]: a hit, the per-message case,
+   then allocates no option. *)
 let client_port t c =
-  match Hashtbl.find_opt t.clients c with
-  | Some port -> port
-  | None ->
+  try Hashtbl.find t.clients c
+  with Not_found ->
     let port =
       {
         c_egress = Resource.create t.engine ~name:(Printf.sprintf "c%d->" c);
         c_ingress = Resource.create t.engine ~name:(Printf.sprintf "c%d<-" c);
         c_handler = None;
+        c_last_to_node = Array.make t.cfg.nodes no_arrival;
+        c_last_from_node = Array.make t.cfg.nodes no_arrival;
       }
     in
     Hashtbl.add t.clients c port;
@@ -216,32 +226,31 @@ let close_nic t ~node ~peer ~for_ =
 let set_fault_hook t hook = t.fault_hook <- hook
 let set_describe t f = t.describe <- f
 
-(* Resolve the egress queue at the sender and the ingress queue at the
-   receiver for a (src, dst) pair. *)
+(* Resolve the egress queue at the sender for a (src, dst) pair. *)
 let egress_of t ~src ~dst =
-  match src with
-  | Principal.Node i ->
-    (match dst with
-     | Principal.Node j -> Some t.node_ports.(i).egress_to_node.(j)
-     | Principal.Client _ -> Some t.node_ports.(i).client_egress)
-  | Principal.Client c -> Some (client_port t c).c_egress
+  match (src, dst) with
+  | Principal.Node i, Principal.Node j -> t.node_ports.(i).egress_to_node.(j)
+  | Principal.Node i, Principal.Client _ -> t.node_ports.(i).client_egress
+  | Principal.Client c, _ -> (client_port t c).c_egress
 
-let deliver_to t ~src ~dst =
-  match dst with
-  | Principal.Node j ->
-    let ingress =
-      match src with
-      | Principal.Node i -> t.node_ports.(j).ingress_from_node.(i)
-      | Principal.Client _ -> t.node_ports.(j).client_ingress
-    in
-    (match t.node_handlers.(j) with
-     | None -> None
-     | Some handler -> Some (ingress, handler))
-  | Principal.Client c ->
-    let port = client_port t c in
-    (match port.c_handler with
-     | None -> None
-     | Some handler -> Some (port.c_ingress, handler))
+let fifo_bump (slots : Time.t array) i arrival =
+  let prev = slots.(i) in
+  let arrival = if prev > arrival then prev else arrival in
+  slots.(i) <- arrival;
+  arrival
+
+(* The FIFO-adjusted arrival instant on the (src, dst) connection:
+   never before the previous message of the same pair. *)
+let fifo_arrival t ~src ~dst arrival =
+  match (src, dst) with
+  | Principal.Node i, Principal.Node j ->
+    fifo_bump t.node_ports.(i).last_to_node j arrival
+  | Principal.Node i, Principal.Client c ->
+    fifo_bump (client_port t c).c_last_from_node i arrival
+  | Principal.Client c, Principal.Node j ->
+    fifo_bump (client_port t c).c_last_to_node j arrival
+  | Principal.Client _, Principal.Client _ ->
+    invalid_arg "Network.send: clients only talk to nodes"
 
 (* Audited from the receiver's perspective: [node] is the destination
    (or -1 for a client), [src] names the sender whose traffic was
@@ -255,108 +264,144 @@ let audit_drop t ~src ~dst ~reason =
       kind = Net_dropped { src = Principal.to_string src; reason };
     }
 
+let count_drop t ~src ~dst ~reason =
+  t.dropped <- t.dropped + 1;
+  if Bftmetrics.Registry.active () then
+    Bftmetrics.Registry.Counter.inc (chan_of t ~src ~dst).m_drops;
+  if Bftaudit.Bus.active () then audit_drop t ~src ~dst ~reason
+
+(* One message copy on the wire: what its egress, propagation and
+   ingress stages need, allocated once so that each stage's engine
+   action is a one-variable closure over it. *)
+type 'a flight = {
+  net : 'a t;
+  f_src : Principal.t;
+  f_dst : Principal.t;
+  f_size : int;
+  f_payload : 'a;
+  f_sent_at : Time.t;
+  f_ser : Time.t;  (* serialization time, paid at egress and ingress *)
+  f_corrupt : bool;
+  f_extra_delay : Time.t;
+  f_span : int;
+  f_span_tag : Bftspan.Tag.t;
+}
+
+(* Stage 3: the receiver's NIC has taken the message in. *)
+let ingress_done fl handler =
+  let t = fl.net in
+  t.delivered <- t.delivered + 1;
+  t.bytes <- t.bytes + fl.f_size;
+  if Bftmetrics.Registry.active () then begin
+    let cm = chan_of t ~src:fl.f_src ~dst:fl.f_dst in
+    Bftmetrics.Registry.Counter.inc cm.m_msgs;
+    Bftmetrics.Registry.Counter.add cm.m_bytes fl.f_size
+  end;
+  let now = Engine.now t.engine in
+  (* Traced message: the whole wire time — sender serialization +
+     propagation + ingress — is one transit span, attributed to the
+     receiver. *)
+  let span =
+    if fl.f_span >= 0 && Bftspan.Tracer.active () then
+      Bftspan.Tracer.span ~parent:fl.f_span ~tag:fl.f_span_tag
+        ~node:
+          (match fl.f_dst with
+          | Principal.Node j -> j
+          | Principal.Client _ -> -1)
+        ~instance:(-1) ~t0:fl.f_sent_at ~t1:now
+    else -1
+  in
+  handler
+    {
+      src = fl.f_src;
+      dst = fl.f_dst;
+      size = fl.f_size;
+      payload = fl.f_payload;
+      sent_at = fl.f_sent_at;
+      delivered_at = now;
+      corrupted = fl.f_corrupt;
+      span;
+    }
+
+(* Stage 2: the message reaches the receiver's NIC, which drops it when
+   no handler is registered or the NIC is closed to the sender. *)
+let arrive fl =
+  let t = fl.net and src = fl.f_src and dst = fl.f_dst in
+  match dst with
+  | Principal.Node j ->
+    (match t.node_handlers.(j) with
+     | None -> count_drop t ~src ~dst ~reason:"no-handler"
+     | Some handler ->
+       if nic_closed t ~node:j ~peer:src then
+         count_drop t ~src ~dst ~reason:"nic-closed"
+       else
+         let ingress =
+           match src with
+           | Principal.Node i -> t.node_ports.(j).ingress_from_node.(i)
+           | Principal.Client _ -> t.node_ports.(j).client_ingress
+         in
+         Resource.submit ingress ~cost:fl.f_ser (fun () ->
+             ingress_done fl handler))
+  | Principal.Client c ->
+    let port = client_port t c in
+    (match port.c_handler with
+     | None -> count_drop t ~src ~dst ~reason:"no-handler"
+     | Some handler ->
+       Resource.submit port.c_ingress ~cost:fl.f_ser (fun () ->
+           ingress_done fl handler))
+
+(* Stage 1: the sender's NIC has serialized the message; draw its
+   propagation delay and schedule the arrival. *)
+let egress_done fl =
+  let t = fl.net in
+  let delay = Time.add (propagation_delay t) fl.f_extra_delay in
+  let delay =
+    match t.cfg.transport with
+    | Udp -> delay
+    | Tcp ->
+      let now = Engine.now t.engine in
+      let arrival =
+        fifo_arrival t ~src:fl.f_src ~dst:fl.f_dst (Time.add now delay)
+      in
+      Time.sub arrival now
+  in
+  let on_arrival () = arrive fl in
+  (* Node-bound deliveries are scheduling choices for the model
+     checker; everything else (and every delivery when capture is off)
+     keeps the ordinary timestamp-ordered path. *)
+  match fl.f_dst with
+  | Principal.Node j when Engine.choice_capture t.engine ->
+    let src_id =
+      match fl.f_src with
+      | Principal.Node i -> i
+      | Principal.Client c -> -(c + 1)
+    in
+    let label = match t.describe with Some f -> f fl.f_payload | None -> "" in
+    ignore
+      (Engine.at_choice t.engine
+         (Time.add (Engine.now t.engine) delay)
+         ~src:src_id ~dst:j ~label on_arrival)
+  | Principal.Node _ | Principal.Client _ ->
+    ignore (Engine.after t.engine delay on_arrival)
+
 let send_copy t ~src ~dst ~size ~corrupt ~extra_delay ~span ~span_tag payload =
-  match egress_of t ~src ~dst with
-  | None ->
-    t.dropped <- t.dropped + 1;
-    if Bftmetrics.Registry.active () then
-      Bftmetrics.Registry.Counter.inc (chan_of t ~src ~dst).m_drops
-  | Some egress ->
-    let sent_at = Engine.now t.engine in
-    let ser = serialization_time t ~size in
-    Resource.submit egress ~cost:ser (fun () ->
-        let delay = Time.add (propagation_delay t) extra_delay in
-        let delay =
-          match t.cfg.transport with
-          | Udp -> delay
-          | Tcp ->
-            (* FIFO per connection: never arrive before the previous
-               message of the same pair. *)
-            let key = (src, dst) in
-            let arrival = Time.add (Engine.now t.engine) delay in
-            let arrival =
-              match Hashtbl.find_opt t.last_arrival key with
-              | Some prev when prev > arrival -> prev
-              | Some _ | None -> arrival
-            in
-            Hashtbl.replace t.last_arrival key arrival;
-            Time.sub arrival (Engine.now t.engine)
-        in
-        let deliver () =
-          match deliver_to t ~src ~dst with
-               | None ->
-                 t.dropped <- t.dropped + 1;
-                 if Bftmetrics.Registry.active () then
-                   Bftmetrics.Registry.Counter.inc (chan_of t ~src ~dst).m_drops;
-                 if Bftaudit.Bus.active () then
-                   audit_drop t ~src ~dst ~reason:"no-handler"
-               | Some (ingress, handler) ->
-                 let closed =
-                   match dst with
-                   | Principal.Node j -> nic_closed t ~node:j ~peer:src
-                   | Principal.Client _ -> false
-                 in
-                 if closed then begin
-                   t.dropped <- t.dropped + 1;
-                   if Bftmetrics.Registry.active () then
-                     Bftmetrics.Registry.Counter.inc (chan_of t ~src ~dst).m_drops;
-                   if Bftaudit.Bus.active () then
-                     audit_drop t ~src ~dst ~reason:"nic-closed"
-                 end
-                 else
-                   Resource.submit ingress ~cost:ser (fun () ->
-                       t.delivered <- t.delivered + 1;
-                       t.bytes <- t.bytes + size;
-                       if Bftmetrics.Registry.active () then begin
-                         let cm = chan_of t ~src ~dst in
-                         Bftmetrics.Registry.Counter.inc cm.m_msgs;
-                         Bftmetrics.Registry.Counter.add cm.m_bytes size
-                       end;
-                       let now = Engine.now t.engine in
-                       (* Traced message: the whole wire time — sender
-                          serialization + propagation + ingress — is one
-                          transit span, attributed to the receiver. *)
-                       let span' =
-                         if span >= 0 && Bftspan.Tracer.active () then
-                           Bftspan.Tracer.span ~parent:span ~tag:span_tag
-                             ~node:
-                               (match dst with
-                               | Principal.Node j -> j
-                               | Principal.Client _ -> -1)
-                             ~instance:(-1) ~t0:sent_at ~t1:now
-                         else -1
-                       in
-                       handler
-                         {
-                           src;
-                           dst;
-                           size;
-                           payload;
-                           sent_at;
-                           delivered_at = now;
-                           corrupted = corrupt;
-                           span = span';
-                         })
-        in
-        (* Node-bound deliveries are scheduling choices for the model
-           checker; everything else (and every delivery when capture is
-           off) keeps the ordinary timestamp-ordered path. *)
-        (match dst with
-         | Principal.Node j when Engine.choice_capture t.engine ->
-           let src_id =
-             match src with
-             | Principal.Node i -> i
-             | Principal.Client c -> -(c + 1)
-           in
-           let label =
-             match t.describe with Some f -> f payload | None -> ""
-           in
-           ignore
-             (Engine.at_choice t.engine
-                (Time.add (Engine.now t.engine) delay)
-                ~src:src_id ~dst:j ~label deliver)
-         | Principal.Node _ | Principal.Client _ ->
-           ignore (Engine.after t.engine delay deliver)))
+  let ser = serialization_time t ~size in
+  let fl =
+    {
+      net = t;
+      f_src = src;
+      f_dst = dst;
+      f_size = size;
+      f_payload = payload;
+      f_sent_at = Engine.now t.engine;
+      f_ser = ser;
+      f_corrupt = corrupt;
+      f_extra_delay = extra_delay;
+      f_span = span;
+      f_span_tag = span_tag;
+    }
+  in
+  Resource.submit (egress_of t ~src ~dst) ~cost:ser (fun () -> egress_done fl)
 
 let send ?(span = -1) ?(span_tag = Bftspan.Tag.Net_transit) t ~src ~dst ~size
     payload =
@@ -366,12 +411,7 @@ let send ?(span = -1) ?(span_tag = Bftspan.Tag.Net_transit) t ~src ~dst ~size
       ~span_tag payload
   | Some hook ->
     let v = hook ~src ~dst ~size in
-    if v.fv_drop then begin
-      t.dropped <- t.dropped + 1;
-      if Bftmetrics.Registry.active () then
-        Bftmetrics.Registry.Counter.inc (chan_of t ~src ~dst).m_drops;
-      if Bftaudit.Bus.active () then audit_drop t ~src ~dst ~reason:"chaos"
-    end
+    if v.fv_drop then count_drop t ~src ~dst ~reason:"chaos"
     else
       for _ = 0 to v.fv_duplicates do
         send_copy t ~src ~dst ~size ~corrupt:v.fv_corrupt

@@ -107,7 +107,9 @@ val send :
   unit
 (** [send t ~src ~dst ~size payload] queues one message. [size] is the
     wire size of the payload as computed by the protocol's codec.
-    Messages to unregistered endpoints are counted as dropped.
+    Messages to unregistered endpoints are counted as dropped. One end
+    must be a node: under TCP a client-to-client send raises
+    [Invalid_argument].
 
     [?span] (default [-1]) piggybacks a parent span id on the message:
     when the tracer is live, delivery records a completed transit span

@@ -110,28 +110,23 @@ let release_choices t =
          t.seq <- t.seq + 1;
          Heap.push t.queue ~key:(Time.max c.key t.clock) ~seq:t.seq event)
 
+(* The loop reads the next key with [Heap.min_key] and takes the event
+   with [Heap.pop_min], so stepping allocates nothing per event beyond
+   what the actions themselves allocate. *)
 let run ?until t =
   t.stopped <- false;
-  let continue = ref true in
-  while !continue && not t.stopped do
-    match Heap.peek_key t.queue with
-    | None -> continue := false
-    | Some key ->
-      let past_horizon =
-        match until with None -> false | Some horizon -> key > horizon
-      in
-      if past_horizon then continue := false
-      else begin
-        match Heap.pop t.queue with
-        | None -> continue := false
-        | Some (key, _, event) ->
-          t.clock <- key;
-          if not event.cancelled then begin
-            t.processed <- t.processed + 1;
-            event.cancelled <- true;
-            event.action ()
-          end
-      end
+  let horizon = match until with None -> max_int | Some h -> h in
+  let queue = t.queue in
+  while
+    (not t.stopped) && Heap.size queue > 0 && Heap.min_key queue <= horizon
+  do
+    t.clock <- Heap.min_key queue;
+    let event = Heap.pop_min queue in
+    if not event.cancelled then begin
+      t.processed <- t.processed + 1;
+      event.cancelled <- true;
+      event.action ()
+    end
   done;
   match until with
   | Some horizon when not t.stopped -> t.clock <- Time.max t.clock horizon

@@ -13,7 +13,13 @@
     the heap never has freedom in which of two simultaneous events to
     surface first. The order is property-tested (random same-key
     pushes pop in push order) and pinned by a replay-digest regression
-    test in [test_sim.ml]. *)
+    test in [test_sim.ml].
+
+    The heap is a struct of arrays — keys, sequence numbers and values
+    in three parallel arrays — so {!push}, {!min_key} and {!pop_min}
+    allocate nothing once the backing arrays have grown to the working
+    size. {!pop} and {!peek_key} are option-returning wrappers over
+    them for callers off the hot path. *)
 
 type 'a t
 
@@ -29,6 +35,16 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> key:int -> seq:int -> 'a -> unit
 (** [push h ~key ~seq v] inserts [v] with priority [(key, seq)]. *)
+
+val min_key : 'a t -> int
+(** [min_key h] is the smallest key. Raises [Invalid_argument] when
+    the heap is empty. Allocates nothing. *)
+
+val pop_min : 'a t -> 'a
+(** [pop_min h] removes the minimum element and returns its value;
+    read its key with {!min_key} first. Raises [Invalid_argument] when
+    the heap is empty. Allocates nothing, and the vacated slot is
+    overwritten so the heap keeps no reference to the popped value. *)
 
 val pop : 'a t -> (int * int * 'a) option
 (** [pop h] removes and returns the minimum element, or [None] when the

@@ -2,24 +2,30 @@
    splitting. Reference: Steele, Lea, Flood, "Fast splittable
    pseudorandom number generators", OOPSLA 2014. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a mutable
+   [int64] record field would box a fresh [Int64] on every draw. With
+   [int64] and [mix64] inlined, [int] allocates nothing and [float]
+   only its boxed result. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] int64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix64 state
 
-let split t =
-  let seed = int64 t in
-  { state = mix64 seed }
+let split t = create (mix64 (int64 t))
 
 let int t bound =
   assert (bound > 0);

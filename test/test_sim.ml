@@ -203,6 +203,142 @@ let prop_heap_tie_total_order =
           (fun (a, _) (b, _) -> compare a b)
           (List.mapi (fun i k -> (k, i)) keys))
 
+(* Pushes and pops interleaved, with enough pushes to carry the heap
+   across its 64/128/256-slot growth boundaries while values are live.
+   The reference is a list kept stably sorted by key, which is the
+   (key, seq) order since seq is the push index. Pops alternate between
+   [pop_min] (key read first with [min_key]) and the [pop] wrapper. *)
+let prop_heap_interleaved_matches_reference =
+  QCheck.Test.make ~name:"interleaved push/pop matches a stable-sorted reference"
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 800)
+        (make ~print:Print.(option int)
+           Gen.(frequency [ (3, map Option.some (int_bound 50)); (1, return None) ])))
+    (fun ops ->
+      let h = Heap.create () in
+      let reference = ref [] in
+      let insert k seq =
+        let rec go = function
+          | (k', _) as x :: tl when k' <= k -> x :: go tl
+          | rest -> (k, seq) :: rest
+        in
+        reference := go !reference
+      in
+      let ok = ref true in
+      let pops = ref 0 in
+      List.iteri
+        (fun seq op ->
+          match (op, !reference) with
+          | Some k, _ ->
+            Heap.push h ~key:k ~seq (k, seq);
+            insert k seq
+          | None, [] -> if Heap.pop h <> None then ok := false
+          | None, ((k, _) as expected) :: tl ->
+            incr pops;
+            let got =
+              if !pops mod 2 = 0 then begin
+                if Heap.min_key h <> k then ok := false;
+                Heap.pop_min h
+              end
+              else
+                match Heap.pop h with
+                | Some (k', seq', v) ->
+                  if k' <> k || seq' <> snd expected then ok := false;
+                  v
+                | None -> (-1, -1)
+            in
+            if got <> expected then ok := false;
+            reference := tl;
+            if Heap.size h <> List.length tl then ok := false)
+        ops;
+      let rest = ref [] in
+      while not (Heap.is_empty h) do
+        rest := Heap.pop_min h :: !rest
+      done;
+      !ok && List.rev !rest = !reference)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-event and per-job paths are allocation-free apart from the
+   engine's 3-word cancellable event record. Each budget is measured
+   with [Gc.minor_words] over [alloc_ops] operations on a warmed
+   structure (backing arrays already grown), so growth is excluded and
+   any per-operation box shows up as a whole word per operation. *)
+let alloc_ops = 20_000
+
+let words_per_op f =
+  let before = Gc.minor_words () in
+  f ();
+  let after = Gc.minor_words () in
+  (after -. before) /. float_of_int alloc_ops
+
+let test_alloc_heap_push_pop_min () =
+  let h = Heap.create () in
+  let value = ref 0 in
+  for i = 0 to 999 do
+    Heap.push h ~key:(i * 7919 mod 1000) ~seq:i value
+  done;
+  let seq = ref 1000 in
+  let words =
+    words_per_op (fun () ->
+        for _ = 1 to alloc_ops do
+          let key = Heap.min_key h in
+          let v = Heap.pop_min h in
+          incr seq;
+          Heap.push h ~key:(key + (!seq * 7919 mod 1000)) ~seq:!seq v
+        done)
+  in
+  Alcotest.(check (float 0.001)) "words per push + pop_min" 0.0 words
+
+let test_alloc_resource_submit () =
+  let e = Engine.create () in
+  let r = Resource.create e ~name:"cpu" in
+  let served = ref 0 in
+  let k () = incr served in
+  let burst () =
+    for _ = 1 to 4 do
+      Resource.submit r ~cost:(Time.us 1) k
+    done;
+    Engine.run e
+  in
+  burst ();
+  let words =
+    words_per_op (fun () ->
+        for _ = 1 to alloc_ops / 4 do
+          burst ()
+        done)
+  in
+  check_int "all served" (4 + alloc_ops) !served;
+  check_bool
+    (Printf.sprintf "%.3f words per completed submit <= 3" words)
+    true (words <= 3.0)
+
+let test_alloc_rng_int () =
+  let r = Rng.create 7L in
+  let sum = ref 0 in
+  let words =
+    words_per_op (fun () ->
+        for _ = 1 to alloc_ops do
+          sum := !sum + Rng.int r 1000
+        done)
+  in
+  check_bool "draws in range" true (!sum >= 0 && !sum < 1000 * alloc_ops);
+  Alcotest.(check (float 0.001)) "words per Rng.int" 0.0 words
+
+let test_alloc_engine_run () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let action () = incr fired in
+  for i = 1 to alloc_ops do
+    ignore (Engine.at e (Time.ns (i mod 977)) action)
+  done;
+  let words = words_per_op (fun () -> Engine.run e) in
+  check_int "all fired" alloc_ops !fired;
+  Alcotest.(check (float 0.001)) "words per event run" 0.0 words
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -490,6 +626,89 @@ let prop_resource_backlog_matches_fold =
       check ();
       !ok && Resource.backlog r = Time.zero && Resource.depth r = 0)
 
+(* Mid-ring growth: after four completions the ring's head sits at
+   slot 4 of 8, so the next burst wraps the tail past the end and then
+   forces a doubling while the live jobs straddle the wrap point. *)
+let test_resource_ring_grows_mid_ring () =
+  let e = Engine.create () in
+  let r = Resource.create e ~name:"cpu" in
+  let log = ref [] in
+  let submit i = Resource.submit r ~cost:(Time.ms 1) (fun () -> log := i :: !log) in
+  for i = 0 to 6 do
+    submit i
+  done;
+  Engine.run ~until:(Time.ms 4) e;
+  Alcotest.(check (list int)) "first four served" [ 0; 1; 2; 3 ] (List.rev !log);
+  for i = 7 to 20 do
+    submit i
+  done;
+  check_int "depth" 16 (Resource.depth r);
+  check_int "backlog" (Resource.backlog_fold r) (Resource.backlog r);
+  Engine.run e;
+  Alcotest.(check (list int)) "fifo across wrap and growth"
+    (List.init 21 Fun.id) (List.rev !log)
+
+(* Jobs submitted from inside handlers and between [run ~until]
+   slices, so the ring wraps and grows while jobs are queued. Checks
+   completion in submission order, the O(1) backlog against the fold at
+   every observation point, and that completed jobs' closures are no
+   longer reachable from the resource (weak pointers, as for the heap).
+   Each op is (cost, jobs its handler submits, slice advance). *)
+let prop_resource_ring_interleaved =
+  QCheck.Test.make ~count:50
+    ~name:"ring FIFO with nested submits and run slices"
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 40)
+        (triple (int_range 0 300) (int_range 0 3) (int_range 0 600)))
+    (fun ops ->
+      let e = Engine.create () in
+      let r = Resource.create e ~name:"cpu" in
+      let ok = ref true in
+      let check () =
+        if Resource.backlog r <> Resource.backlog_fold r then ok := false
+      in
+      let next_id = ref 0 in
+      let completed = ref [] in
+      let weak = Weak.create 1024 in
+      (* Each job's closure captures a fresh block, tracked weakly. *)
+      let rec submit cost nested =
+        let id = !next_id in
+        incr next_id;
+        let token = ref id in
+        if id < Weak.length weak then Weak.set weak id (Some token);
+        Resource.submit r ~cost:(Time.us cost) (fun () ->
+            completed := !token :: !completed;
+            for n = 1 to nested do
+              submit ((cost + (37 * n)) mod 300) 0
+            done;
+            check ())
+      in
+      let collected_upto n =
+        Gc.full_major ();
+        let all = ref true in
+        for id = 0 to Stdlib.min n (Weak.length weak) - 1 do
+          if Weak.check weak id then all := false
+        done;
+        !all
+      in
+      List.iteri
+        (fun i (cost, nested, advance) ->
+          submit cost nested;
+          check ();
+          Engine.run ~until:(Time.add (Engine.now e) (Time.us advance)) e;
+          check ();
+          if i = List.length ops / 2 && not (collected_upto (List.length !completed))
+          then ok := false)
+        ops;
+      Engine.run e;
+      check ();
+      let order = List.rev !completed in
+      !ok
+      && order = List.init !next_id Fun.id
+      && Resource.depth r = 0
+      && collected_upto !next_id)
+
 (* ------------------------------------------------------------------ *)
 (* Trace                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -560,7 +779,23 @@ let suites =
         Alcotest.test_case "pop/clear drop value references" `Quick
           test_heap_drops_popped_references;
       ]
-      @ qsuite [ prop_heap_sorts; prop_heap_tie_total_order ] );
+      @ qsuite
+          [
+            prop_heap_sorts;
+            prop_heap_tie_total_order;
+            prop_heap_interleaved_matches_reference;
+          ] );
+    ( "sim.alloc",
+      [
+        Alcotest.test_case "heap push + pop_min allocates nothing" `Quick
+          test_alloc_heap_push_pop_min;
+        Alcotest.test_case "completed submit costs one engine event" `Quick
+          test_alloc_resource_submit;
+        Alcotest.test_case "run allocates nothing per event" `Quick
+          test_alloc_engine_run;
+        Alcotest.test_case "Rng.int allocates nothing" `Quick
+          test_alloc_rng_int;
+      ] );
     ( "sim.engine",
       [
         Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
@@ -597,10 +832,13 @@ let suites =
         Alcotest.test_case "idle gap" `Quick test_resource_idle_gap;
         Alcotest.test_case "charge pushes back" `Quick test_resource_charge_pushes_back;
         Alcotest.test_case "accounting" `Quick test_resource_accounting;
+        Alcotest.test_case "ring grows mid-ring" `Quick
+          test_resource_ring_grows_mid_ring;
       ]
       @ qsuite
           [
             prop_resource_completion_monotonic;
             prop_resource_backlog_matches_fold;
+            prop_resource_ring_interleaved;
           ] );
   ]
